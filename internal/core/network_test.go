@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"solros/internal/controlplane"
@@ -56,6 +58,48 @@ func TestNetworkEchoThroughSolros(t *testing.T) {
 			if !bytes.Equal(echo, []byte("hello solro")) {
 				t.Errorf("echo = %q", echo)
 			}
+			side.Close(cp)
+		})
+		p.WaitWG(done)
+	})
+}
+
+// A co-processor socket whose peer closes part way through a message
+// returns the bytes that arrived with io.ErrUnexpectedEOF.
+func TestSocketRecvFullShortAtEOF(t *testing.T) {
+	m := NewMachine(Config{Phis: 1})
+	m.EnableNetwork()
+	m.MustRun(func(p *sim.Proc, m *Machine) {
+		phi := m.Phis[0]
+		if err := phi.Net.Listen(p, 7000); err != nil {
+			t.Error(err)
+			return
+		}
+		done := sim.NewWaitGroup("short")
+		done.Add(2)
+		p.Spawn("phi-server", func(sp *sim.Proc) {
+			defer sp.DoneWG(done)
+			sock, err := phi.Net.Accept(sp, 7000)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := sock.RecvFull(sp, 8)
+			if string(got) != "abc" || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("RecvFull(8) after 3 bytes and close = %q, %v; want \"abc\", io.ErrUnexpectedEOF", got, err)
+			}
+			sock.Close(sp)
+		})
+		p.Spawn("client", func(cp *sim.Proc) {
+			defer cp.DoneWG(done)
+			cp.Advance(50 * sim.Microsecond)
+			conn, err := m.ClientStack.Dial(cp, m.HostStack, 7000)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			side := conn.Side(m.ClientStack)
+			side.Send(cp, []byte("abc"))
 			side.Close(cp)
 		})
 		p.WaitWG(done)

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"solros/internal/ninep"
 	"solros/internal/pcie"
@@ -230,7 +231,9 @@ func (s *Socket) Recv(p *sim.Proc, max int) ([]byte, error) {
 	}
 }
 
-// RecvFull reads exactly n bytes (fewer at end of stream).
+// RecvFull reads exactly n bytes. If the stream ends first it returns
+// what arrived with io.ErrUnexpectedEOF, so callers never index a short
+// reply.
 func (s *Socket) RecvFull(p *sim.Proc, n int) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for len(out) < n {
@@ -239,7 +242,7 @@ func (s *Socket) RecvFull(p *sim.Proc, n int) ([]byte, error) {
 			return out, err
 		}
 		if len(chunk) == 0 {
-			return out, nil
+			return out, io.ErrUnexpectedEOF
 		}
 		out = append(out, chunk...)
 	}

@@ -14,6 +14,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"solros/internal/cpu"
 	"solros/internal/model"
@@ -304,7 +305,9 @@ func (sd *Side) Recv(p *sim.Proc, max int) ([]byte, error) {
 	}
 }
 
-// RecvFull reads exactly n bytes (or fewer at end of stream).
+// RecvFull reads exactly n bytes. If the stream ends first it returns
+// what arrived with io.ErrUnexpectedEOF, so callers never index a short
+// reply.
 func (sd *Side) RecvFull(p *sim.Proc, n int) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for len(out) < n {
@@ -313,7 +316,7 @@ func (sd *Side) RecvFull(p *sim.Proc, n int) ([]byte, error) {
 			return out, err
 		}
 		if len(chunk) == 0 {
-			return out, nil
+			return out, io.ErrUnexpectedEOF
 		}
 		out = append(out, chunk...)
 	}

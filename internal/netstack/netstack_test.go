@@ -2,6 +2,8 @@ package netstack
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"solros/internal/cpu"
@@ -131,8 +133,8 @@ func TestCloseDeliversEOF(t *testing.T) {
 		l, _ := server.Listen(80)
 		c, _ := l.Accept(p)
 		data, err := c.Side(server).RecvFull(p, 100)
-		if err != nil {
-			t.Error(err)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("short read at EOF: err %v, want io.ErrUnexpectedEOF", err)
 		}
 		if len(data) != 3 {
 			t.Errorf("got %d bytes before EOF, want 3", len(data))
@@ -307,8 +309,8 @@ func TestHalfCloseDrainsBufferedData(t *testing.T) {
 		s := c.Side(server)
 		p.Advance(10 * sim.Millisecond) // let sender close first
 		got, err := s.RecvFull(p, 1<<20)
-		if err != nil {
-			t.Error(err)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("short read at EOF: err %v, want io.ErrUnexpectedEOF", err)
 		}
 		if len(got) != 100000 {
 			t.Errorf("got %d bytes before EOF, want 100000", len(got))

@@ -48,8 +48,7 @@ func (r *Resource) ServiceTime(n int64) Time {
 func (p *Proc) Use(r *Resource, n int64) {
 	done := r.admit(p.time, n)
 	p.time = done
-	p.requeue()
-	p.yield()
+	p.reschedule()
 }
 
 // UseAsync reserves service for n bytes without blocking the Proc: the
@@ -78,8 +77,7 @@ func (p *Proc) UsePipelined(r *Resource, n int64) {
 	r.requests++
 	r.busyTime += d
 	p.time = start + d + r.Latency
-	p.requeue()
-	p.yield()
+	p.reschedule()
 }
 
 // UseAsyncPipelined reserves service like UseAsync but treats the fixed

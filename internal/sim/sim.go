@@ -1,3 +1,9 @@
+//go:build go1.23
+
+// iter.Pull needs go1.23; the constraint raises this file's language
+// version to match, as go vet requires. The module's go line stays at 1.22
+// because the perfbench module requires this one and declares go 1.22.
+
 // Package sim implements a deterministic virtual-time (discrete-event)
 // execution kernel. It is the substrate on which Solros models hardware
 // timing: PCIe links, DMA engines, NVMe service times, and CPU cost are all
@@ -5,16 +11,17 @@
 // (ring buffers, file system, network stack) execute for real and move real
 // bytes.
 //
-// The kernel runs each simulated activity (a Proc) on its own goroutine but
-// serializes execution so that exactly one Proc runs at a time, always the
-// one with the smallest virtual clock. This makes every simulation
-// deterministic for a fixed set of Procs and a fixed tie-breaking order,
-// regardless of the host machine's parallelism.
+// The kernel runs each simulated activity (a Proc) as a coroutine
+// (iter.Pull) and resumes exactly one at a time, always the one with the
+// smallest virtual clock. A Proc suspends straight back to Run's loop, or
+// not at all if it is still the earliest after advancing. This makes
+// every simulation deterministic for a fixed set of Procs and a fixed
+// tie-breaking order, regardless of the host machine's parallelism.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -49,24 +56,25 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 type procState int
 
 const (
-	stateNew procState = iota
-	stateRunnable
+	stateRunnable procState = iota
 	stateRunning
 	stateWaiting
 	stateDone
 )
 
 // Proc is a simulated thread of execution. All methods must be called only
-// from the Proc's own goroutine (the function passed to Engine.Spawn).
+// from inside the Proc's own function (the one passed to Engine.Spawn).
 type Proc struct {
-	eng    *Engine
-	name   string
-	id     int
-	time   Time
-	state  procState
-	resume chan struct{}
-	// heap bookkeeping
-	heapIndex int
+	eng   *Engine
+	name  string
+	id    int
+	time  Time
+	state procState
+	// next resumes the coroutine until it suspends (false once fn has
+	// returned); suspend switches back to Run. The coroutine's stop is
+	// never needed: a Proc runs to completion or stays parked.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
 	// pri is the seeded tie-break priority, drawn fresh at every push
 	// onto the run queue; 0 (insertion order) unless the engine is seeded.
 	pri uint64
@@ -78,16 +86,13 @@ type Proc struct {
 }
 
 // Engine owns a set of Procs and executes them in virtual-time order.
-// The zero value is not usable; use NewEngine.
 type Engine struct {
-	procs   []*Proc
-	ready   procHeap
-	yielded chan struct{}
-	nextID  int
-	live    int
-	now     Time
-	started bool
-	tracer  Tracer
+	procs  []*Proc
+	ready  []*Proc // binary min-heap under procLess
+	nextID int
+	live   int
+	now    Time
+	tracer Tracer
 
 	// Seeded tie-break state (see seed.go). Zero values = off.
 	seeded      bool
@@ -101,9 +106,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{yielded: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the engine's current virtual time: the clock of the most
 // recently dispatched Proc. It is safe to call between Run invocations.
@@ -113,32 +116,16 @@ func (e *Engine) Now() Time { return e.now }
 // Spawn may be called before Run or from inside a running Proc; in the
 // latter case the child starts no earlier than the parent's current time.
 func (e *Engine) Spawn(name string, at Time, fn func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     e.nextID,
-		time:   at,
-		state:  stateRunnable,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, id: e.nextID, time: at, state: stateRunnable}
+	p.next, _ = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		fn(p)
+	})
 	e.nextID++
 	e.live++
 	e.procs = append(e.procs, p)
 	e.push(p)
 	e.emit(EvSpawn, at, name, "")
-	go func() {
-		// The handoff back to the engine runs in a defer so that a Proc
-		// that exits abnormally (runtime.Goexit from t.Fatal, or a
-		// panic that is re-raised after the handoff) cannot wedge the
-		// engine.
-		defer func() {
-			p.state = stateDone
-			p.eng.live--
-			p.eng.yielded <- struct{}{}
-		}()
-		<-p.resume
-		fn(p)
-	}()
 	return p
 }
 
@@ -153,36 +140,42 @@ func (e *ErrDeadlock) Error() string {
 }
 
 // Run executes all Procs until every one has finished. It returns an
-// *ErrDeadlock if Procs remain blocked with nothing runnable.
+// *ErrDeadlock if Procs remain blocked with nothing runnable. A panic or
+// runtime.Goexit (t.Fatal) inside a Proc comes out of Run on the
+// caller's goroutine.
 func (e *Engine) Run() error {
-	for {
-		if e.ready.Len() == 0 {
-			if e.live == 0 {
-				return nil
-			}
-			var stuck []string
-			for _, p := range e.procs {
-				if p.state == stateWaiting {
-					stuck = append(stuck, p.name+" ("+p.waitingOn+")")
-				}
-			}
-			sort.Strings(stuck)
-			return &ErrDeadlock{Procs: stuck}
-		}
-		p := heap.Pop(&e.ready).(*Proc)
-		p.state = stateRunning
-		if p.time > e.now {
-			e.now = p.time
-		}
-		e.ndispatch++
-		e.note(p.name, p.time)
-		e.emit(EvDispatch, p.time, p.name, "")
-		p.resume <- struct{}{}
-		<-e.yielded
-		if p.state == stateDone {
+	for len(e.ready) > 0 {
+		p := e.pop()
+		e.dispatch(p)
+		if _, ok := p.next(); !ok {
+			p.state = stateDone
+			e.live--
 			e.emit(EvDone, p.time, p.name, "")
 		}
 	}
+	if e.live == 0 {
+		return nil
+	}
+	var stuck []string
+	for _, p := range e.procs {
+		if p.state == stateWaiting {
+			stuck = append(stuck, p.name+" ("+p.waitingOn+")")
+		}
+	}
+	sort.Strings(stuck)
+	return &ErrDeadlock{Procs: stuck}
+}
+
+// dispatch makes p, just popped off the run queue, the running Proc and
+// folds the decision into the trace digest.
+func (e *Engine) dispatch(p *Proc) {
+	p.state = stateRunning
+	if p.time > e.now {
+		e.now = p.time
+	}
+	e.ndispatch++
+	e.note(p.name, p.time)
+	e.emit(EvDispatch, p.time, p.name, "")
 }
 
 // MustRun is Run but panics on deadlock; for tests and examples.
@@ -198,12 +191,17 @@ func (p *Proc) Name() string { return p.name }
 // Now reports the Proc's virtual clock.
 func (p *Proc) Now() Time { return p.time }
 
-// yield hands control back to the engine. The Proc must already have been
-// re-queued (runnable) or parked (waiting).
-func (p *Proc) yield() {
-	p.eng.yielded <- struct{}{}
-	<-p.resume
-	p.state = stateRunning
+// reschedule requeues the running Proc and yields, unless it is still the
+// earliest runnable Proc, which Run would pick next anyway: then it is
+// dispatched again in place, with the same bookkeeping and no switch.
+func (p *Proc) reschedule() {
+	e := p.eng
+	p.requeue()
+	if e.ready[0] == p {
+		e.dispatch(e.pop())
+		return
+	}
+	p.suspend(struct{}{})
 }
 
 // Advance moves the Proc's clock forward by d (clamped at zero) and yields
@@ -213,8 +211,7 @@ func (p *Proc) Advance(d Time) {
 		d = 0
 	}
 	p.time += d
-	p.requeue()
-	p.yield()
+	p.reschedule()
 }
 
 // AdvanceTo moves the Proc's clock to at least t and yields. It never moves
@@ -223,8 +220,7 @@ func (p *Proc) AdvanceTo(t Time) {
 	if t > p.time {
 		p.time = t
 	}
-	p.requeue()
-	p.yield()
+	p.reschedule()
 }
 
 // Spawn starts a child Proc at the parent's current time.
@@ -237,10 +233,40 @@ func (p *Proc) requeue() {
 	p.eng.push(p)
 }
 
-// push draws the Proc's tie-break priority and enqueues it runnable.
+// push draws the Proc's tie-break priority and sifts it up the run queue.
 func (e *Engine) push(p *Proc) {
 	p.pri = e.drawPri()
-	heap.Push(&e.ready, p)
+	h := append(e.ready, p)
+	i := len(h) - 1
+	for i > 0 && procLess(p, h[(i-1)/2]) {
+		h[i] = h[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	h[i] = p
+	e.ready = h
+}
+
+// pop removes and returns the earliest runnable Proc, sifting the last
+// entry down from the root.
+func (e *Engine) pop() *Proc {
+	h := e.ready
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && procLess(h[c+1], h[c]) {
+			c++
+		}
+		if !procLess(h[c], last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	h[n] = nil
+	e.ready = h[:n]
+	return top
 }
 
 // park blocks the Proc outside the run queue until some other Proc wakes it.
@@ -249,7 +275,7 @@ func (p *Proc) park(what string) {
 	p.waitSeq++
 	p.waitingOn = what
 	p.eng.emit(EvBlock, p.time, p.name, what)
-	p.yield()
+	p.suspend(struct{}{})
 	p.waitingOn = ""
 }
 
@@ -266,35 +292,16 @@ func (p *Proc) wakeAt(at Time) {
 	p.requeue()
 }
 
-// procHeap orders Procs by (time, pri, id) so scheduling is deterministic:
-// pri is 0 for every Proc unless the seeded tie-break policy is armed.
-type procHeap []*Proc
-
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// procLess orders the run queue by (time, pri, id); pri is 0 for every
+// Proc unless the seeded tie-break policy is armed. ids are unique, so
+// this is a total order: which Proc is popped next never depends on the
+// heap's layout, only on the key.
+func procLess(a, b *Proc) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
+	if a.pri != b.pri {
+		return a.pri < b.pri
 	}
-	return h[i].id < h[j].id
-}
-func (h procHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
-}
-func (h *procHeap) Push(x any) {
-	p := x.(*Proc)
-	p.heapIndex = len(*h)
-	*h = append(*h, p)
-}
-func (h *procHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
+	return a.id < b.id
 }

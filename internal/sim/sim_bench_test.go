@@ -53,3 +53,19 @@ func BenchmarkChanSendRecv(b *testing.B) {
 	})
 	e.MustRun()
 }
+
+// BenchmarkContextSwitchManyProcs keeps 64 Procs runnable at staggered
+// clocks. Every Advance lands the Proc behind the other 63, so each
+// dispatch is a real switch plus a run-queue pop and push at depth 6.
+func BenchmarkContextSwitchManyProcs(b *testing.B) {
+	const procs = 64
+	e := NewEngine()
+	for k := 0; k < procs; k++ {
+		e.Spawn("p", Time(k), func(p *Proc) {
+			for i := 0; i < b.N/procs; i++ {
+				p.Advance(procs)
+			}
+		})
+	}
+	e.MustRun()
+}

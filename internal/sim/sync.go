@@ -216,12 +216,7 @@ func (p *Proc) Recv(c *Chan) (any, bool) {
 		}
 		p.Wait(&c.recvq)
 	}
-	v := c.buf[0]
-	copy(c.buf, c.buf[1:])
-	c.buf[len(c.buf)-1] = nil
-	c.buf = c.buf[:len(c.buf)-1]
-	p.Signal(&c.sendq)
-	return v, true
+	return p.TryRecv(c)
 }
 
 // TryRecv dequeues without blocking; ok is false if the channel is empty.

@@ -283,7 +283,10 @@ func TestViewTimeMatchesRecv(t *testing.T) {
 // transport half of the zero-alloc hot path: with a pooled receive port
 // and recycling consumer, a steady-state send -> recv -> recycle cycle
 // must not touch the heap. Measured with runtime.MemStats inside the sim
-// run (testing.AllocsPerRun cannot re-enter a finished engine).
+// run (testing.AllocsPerRun cannot re-enter a finished engine), the way
+// AllocsPerRun measures: MemStats counts every goroutine's mallocs, so the
+// measured loop runs with GOMAXPROCS(1) to keep other goroutines from
+// allocating inside the window.
 func TestTransportAllocFree(t *testing.T) {
 	f, phi := newFabric()
 	ring := NewRing(f, phi, Options{CapBytes: 1 << 16, Slots: 64})
@@ -302,6 +305,7 @@ func TestTransportAllocFree(t *testing.T) {
 		}
 		const iters = 2000
 		var before, after runtime.MemStats
+		prev := runtime.GOMAXPROCS(1)
 		runtime.ReadMemStats(&before)
 		for i := 0; i < iters; i++ {
 			sender.Send(p, msg)
@@ -309,6 +313,7 @@ func TestTransportAllocFree(t *testing.T) {
 			receiver.Recycle(b)
 		}
 		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(prev)
 		perOp = float64(after.Mallocs-before.Mallocs) / iters
 	})
 	e.MustRun()
