@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -77,5 +78,33 @@ func TestInPlaceRedispatchBookkeeping(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("events %v, want %v", kinds, want)
 		}
+	}
+}
+
+// A Proc that has returned hands its coroutine to the next Spawn, so a
+// Spawn allocates only its Proc; Run ends the idle coroutines before it
+// returns, leaving no goroutine behind.
+func TestSpawnReusesFinishedCoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	var cos []*coro
+	e.Spawn("parent", 0, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			cos = append(cos, p.Spawn("child", func(*Proc) {}).co)
+			p.Advance(1) // the child runs and returns
+		}
+		for i := 0; i < 16; i++ {
+			p.Spawn("sibling", func(c *Proc) { c.Advance(5) })
+		}
+	})
+	e.MustRun()
+	if cos[0] != cos[1] || cos[1] != cos[2] {
+		t.Fatalf("sequential children ran on coroutines %p %p %p, want one reused", cos[0], cos[1], cos[2])
+	}
+	if len(e.idle) != 0 {
+		t.Fatalf("%d idle coroutines left after Run", len(e.idle))
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before Run, %d after", before, after)
 	}
 }

@@ -46,8 +46,7 @@ func (r *Resource) ServiceTime(n int64) Time {
 // Use charges the calling Proc a request for n bytes: the Proc's clock
 // advances past queueing and service, and the Proc yields.
 func (p *Proc) Use(r *Resource, n int64) {
-	done := r.admit(p.time, n)
-	p.time = done
+	p.time = p.UseAsync(r, n)
 	p.reschedule()
 }
 
@@ -56,7 +55,7 @@ func (p *Proc) Use(r *Resource, n int64) {
 // completes. This models a hardware engine working in the background (e.g.
 // an SSD prefetching into a cache while the CPU moves on).
 func (p *Proc) UseAsync(r *Resource, n int64) Time {
-	return r.admit(p.time, n)
+	return r.reserve(p.time, n, r.ServiceTime(n))
 }
 
 // UsePipelined charges service for n bytes where the resource's fixed
@@ -64,19 +63,7 @@ func (p *Proc) UseAsync(r *Resource, n int64) Time {
 // completion includes the latency, but back-to-back requests overlap it
 // (e.g. NAND access latency behind a deep NVMe queue).
 func (p *Proc) UsePipelined(r *Resource, n int64) {
-	start := p.time
-	if r.busyUntil > start {
-		start = r.busyUntil
-	}
-	var d Time
-	if r.Rate > 0 {
-		d = Time(n * int64(Second) / r.Rate)
-	}
-	r.busyUntil = start + d
-	r.bytes += n
-	r.requests++
-	r.busyTime += d
-	p.time = start + d + r.Latency
+	p.time = p.UseAsyncPipelined(r, n)
 	p.reschedule()
 }
 
@@ -84,33 +71,18 @@ func (p *Proc) UsePipelined(r *Resource, n int64) {
 // Latency as pipelined: it occupies the server only for the per-byte
 // transfer, while the returned completion time still includes the latency.
 func (p *Proc) UseAsyncPipelined(r *Resource, n int64) Time {
-	start := p.time
-	if r.busyUntil > start {
-		start = r.busyUntil
-	}
-	var d Time
-	if r.Rate > 0 {
-		d = Time(n * int64(Second) / r.Rate)
-	}
+	return r.reserve(p.time, n, r.ServiceTime(n)-r.Latency) + r.Latency
+}
+
+// reserve occupies the resource for d, starting when both the request
+// (issued at now) and the server are ready, and returns when d ends.
+func (r *Resource) reserve(now Time, n int64, d Time) Time {
+	start := max(now, r.busyUntil)
 	r.busyUntil = start + d
 	r.bytes += n
 	r.requests++
 	r.busyTime += d
-	return start + d + r.Latency
-}
-
-func (r *Resource) admit(now Time, n int64) Time {
-	start := now
-	if r.busyUntil > start {
-		start = r.busyUntil
-	}
-	d := r.ServiceTime(n)
-	done := start + d
-	r.busyUntil = done
-	r.bytes += n
-	r.requests++
-	r.busyTime += d
-	return done
+	return start + d
 }
 
 // Stats reports cumulative bytes served, request count, and busy time.

@@ -70,11 +70,7 @@ type Proc struct {
 	id    int
 	time  Time
 	state procState
-	// next resumes the coroutine until it suspends (false once fn has
-	// returned); suspend switches back to Run. The coroutine's stop is
-	// never needed: a Proc runs to completion or stays parked.
-	next    func() (struct{}, bool)
-	suspend func(struct{}) bool
+	co    *coro // the coroutine running fn
 	// pri is the seeded tie-break priority, drawn fresh at every push
 	// onto the run queue; 0 (insertion order) unless the engine is seeded.
 	pri uint64
@@ -89,6 +85,7 @@ type Proc struct {
 type Engine struct {
 	procs  []*Proc
 	ready  []*Proc // binary min-heap under procLess
+	idle   []*coro // coroutines whose Proc has returned, for reuse
 	nextID int
 	live   int
 	now    Time
@@ -116,11 +113,8 @@ func (e *Engine) Now() Time { return e.now }
 // Spawn may be called before Run or from inside a running Proc; in the
 // latter case the child starts no earlier than the parent's current time.
 func (e *Engine) Spawn(name string, at Time, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, id: e.nextID, time: at, state: stateRunnable}
-	p.next, _ = iter.Pull(func(suspend func(struct{}) bool) {
-		p.suspend = suspend
-		fn(p)
-	})
+	p := &Proc{eng: e, name: name, id: e.nextID, time: at, state: stateRunnable, co: e.coro()}
+	p.co.p, p.co.fn = p, fn
 	e.nextID++
 	e.live++
 	e.procs = append(e.procs, p)
@@ -147,12 +141,12 @@ func (e *Engine) Run() error {
 	for len(e.ready) > 0 {
 		p := e.pop()
 		e.dispatch(p)
-		if _, ok := p.next(); !ok {
-			p.state = stateDone
-			e.live--
-			e.emit(EvDone, p.time, p.name, "")
-		}
+		p.co.next()
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 	if e.live == 0 {
 		return nil
 	}
@@ -164,6 +158,44 @@ func (e *Engine) Run() error {
 	}
 	sort.Strings(stuck)
 	return &ErrDeadlock{Procs: stuck}
+}
+
+// coro is a coroutine (iter.Pull) that runs Proc functions one after
+// another: when one returns, it joins the engine's idle list and suspends
+// until a Spawn hands it the next. A Spawn thus allocates only its Proc;
+// Run stops the idle coroutines before it returns.
+type coro struct {
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool // switches back to Run; false once stopped
+	p       *Proc
+	fn      func(*Proc)
+}
+
+// coro takes an idle coroutine, or starts a new one.
+func (e *Engine) coro() *coro {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		c.suspend = suspend
+		for {
+			p := c.p
+			c.fn(p)
+			c.p, c.fn = nil, nil
+			p.state = stateDone
+			e.live--
+			e.emit(EvDone, p.time, p.name, "")
+			e.idle = append(e.idle, c)
+			if !suspend(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
 }
 
 // dispatch makes p, just popped off the run queue, the running Proc and
@@ -201,7 +233,7 @@ func (p *Proc) reschedule() {
 		e.dispatch(e.pop())
 		return
 	}
-	p.suspend(struct{}{})
+	p.co.suspend(struct{}{})
 }
 
 // Advance moves the Proc's clock forward by d (clamped at zero) and yields
@@ -275,7 +307,7 @@ func (p *Proc) park(what string) {
 	p.waitSeq++
 	p.waitingOn = what
 	p.eng.emit(EvBlock, p.time, p.name, what)
-	p.suspend(struct{}{})
+	p.co.suspend(struct{}{})
 	p.waitingOn = ""
 }
 

@@ -69,3 +69,17 @@ func BenchmarkContextSwitchManyProcs(b *testing.B) {
 	}
 	e.MustRun()
 }
+
+// BenchmarkSpawn spawns a short-lived child per op and lets it run to
+// completion, so it measures Spawn's allocations and a Proc's lifetime.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Spawn("parent", 0, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Spawn("child", func(*Proc) {})
+			p.Advance(1)
+		}
+	})
+	e.MustRun()
+}

@@ -183,17 +183,12 @@ func (c *Chan) Cap() int { return c.capacity }
 // Send enqueues v, blocking while the channel is full. Sending on a closed
 // channel panics, as with native channels.
 func (p *Proc) Send(c *Chan, v any) {
-	for len(c.buf) >= c.capacity {
+	for !p.TrySend(c, v) {
 		if c.closed {
 			panic("sim: send on closed chan " + c.name)
 		}
 		p.Wait(&c.sendq)
 	}
-	if c.closed {
-		panic("sim: send on closed chan " + c.name)
-	}
-	c.buf = append(c.buf, v)
-	p.Signal(&c.recvq)
 }
 
 // TrySend enqueues v without blocking; it reports false if the channel is
